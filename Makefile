@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-short check bench bench-train bench-full experiments experiments-quick smoke-resume obs-smoke orch-smoke shard-smoke ingest-smoke fleet-smoke clean
+.PHONY: all build vet staticcheck test test-short perfbench-test check bench bench-train bench-full experiments experiments-quick smoke-resume obs-smoke orch-smoke shard-smoke ingest-smoke fleet-smoke clean
 
 all: build vet test
 
@@ -28,12 +28,20 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+## perfbench-test builds and tests the benchmark (perfbench/), a Go module
+## of its own that ./... never compiles although it calls the library's
+## internal packages. -short skips the tests that train attacks; it runs
+## offline in about 15 s.
+perfbench-test:
+	cd perfbench && GOFLAGS= GOWORK=off $(GO) test -short ./...
+
 ## check is the full gate, run by CI on every PR (.github/workflows/ci.yml):
-## the tier-1 build/vet/test sequence plus the race detector over every
-## package (the batch kernels, the forest pool, the concurrent k-fold, and
-## the httpx/miner concurrency all fan out goroutines). The raised timeout
-## covers the race detector's ~10-20x slowdown on the experiment suites.
-check: build vet staticcheck test
+## the tier-1 build/vet/test sequence, the benchmark module's build and
+## tests, plus the race detector over every package (the batch kernels, the
+## forest pool, the concurrent k-fold, and the httpx/miner concurrency all
+## fan out goroutines). The raised timeout covers the race detector's
+## ~10-20x slowdown on the experiment suites.
+check: build vet staticcheck test perfbench-test
 	$(GO) test -race -timeout 45m ./...
 
 ## smoke-resume proves the crash-safety contract end to end: a SIGKILLed

@@ -194,7 +194,7 @@ func (a *ImageAttack) PredictLocation(elevations []float64) (string, error) {
 
 // PredictLocations infers the location label for a batch of elevation
 // profiles in one pass: the profiles render into one matrix-backed image
-// batch and the CNN scores them through its im2col batch forward.
+// batch and the CNN scores the images in parallel.
 func (a *ImageAttack) PredictLocations(profiles [][]float64) ([]string, error) {
 	batch, err := imagerep.RenderBatch(profiles, a.render)
 	if err != nil {

@@ -2,23 +2,11 @@ package cnn
 
 import (
 	"fmt"
+	"runtime"
 
 	"elevprivacy/internal/imagerep"
 	"elevprivacy/internal/ml/linalg"
 )
-
-// Batch inference. Convolutions run as im2col matrix products: the input
-// patches of a whole image chunk are unfolded into one patch matrix and
-// multiplied against the kernel bank with the blocked parallel MatMulT
-// kernel, so batch throughput scales with cores instead of looping the
-// per-sample forward. The patch rows carry a leading 1-column and the
-// kernel rows a leading bias entry, making the dot product accumulate
-// bias-first over the exact term order of the serial convolution — batch
-// probabilities equal per-sample Probabilities bit for bit.
-
-// batchChunk bounds how many images unfold at once; the conv1 patch matrix
-// for a 32×32 RGB chunk of this size stays around 20 MB.
-const batchChunk = 32
 
 // PredictBatch returns the most probable class for every image.
 func (c *CNN) PredictBatch(images []*imagerep.Image) ([]int, error) {
@@ -30,131 +18,30 @@ func (c *CNN) PredictBatch(images []*imagerep.Image) ([]int, error) {
 }
 
 // Scores returns the softmax class distribution for every image as an
-// n×Classes matrix, computed through the im2col batch forward.
+// n×Classes matrix. Images run in parallel, each through the same
+// single-image forward as Probabilities on a pooled workspace, so batch
+// rows equal per-image Probabilities bit for bit.
 func (c *CNN) Scores(images []*imagerep.Image) (*linalg.Matrix, error) {
 	if len(images) == 0 {
 		return nil, fmt.Errorf("cnn: empty batch")
 	}
-	if err := c.validateImages(images, make([]int, len(images))); err != nil {
-		return nil, err
+	for i, im := range images {
+		if err := c.validateImage(i, im); err != nil {
+			return nil, err
+		}
 	}
 	probs := linalg.NewMatrix(len(images), c.cfg.Classes)
-	for lo := 0; lo < len(images); lo += batchChunk {
-		hi := lo + batchChunk
-		if hi > len(images) {
-			hi = len(images)
-		}
-		c.forwardChunk(images[lo:hi], probs, lo)
+	states := make([]*inference, min(runtime.GOMAXPROCS(0), len(images)))
+	for w := range states {
+		states[w] = c.getInference()
+	}
+	parallelFor(len(states), len(images), func(w, i int) {
+		st := states[w]
+		c.forward(&st.ws, &st.a, images[i])
+		copy(probs.Row(i), st.a.probs)
+	})
+	for _, st := range states {
+		c.pool.Put(st)
 	}
 	return probs, nil
-}
-
-// forwardChunk runs one image chunk through both conv/pool stages and the
-// FC softmax head, writing probabilities into rows [rowBase, rowBase+len).
-func (c *CNN) forwardChunk(images []*imagerep.Image, probs *linalg.Matrix, rowBase int) {
-	n := len(images)
-	in := c.cfg.InSize
-
-	// Stage 1: conv over the raw images, then 2×2 pool.
-	planes1 := make([][]float64, n)
-	for i, im := range images {
-		planes1[i] = im.Data
-	}
-	conv1 := c.convBatch(planes1, c.cfg.InChannels, in,
-		c.params[c.w1:c.b1], c.params[c.b1:c.w2], c.cfg.Conv1)
-	pool1 := make([][]float64, n)
-	arg := make([]int, c.cfg.Conv1*c.size1*c.size1)
-	for i := range conv1 {
-		pool1[i] = make([]float64, c.cfg.Conv1*c.size1*c.size1)
-		poolForward(conv1[i], c.cfg.Conv1, in, pool1[i], arg)
-	}
-
-	// Stage 2 feeds the pooled planes through the second conv/pool pair,
-	// flattening straight into the FC feature matrix.
-	conv2 := c.convBatch(pool1, c.cfg.Conv1, c.size1,
-		c.params[c.w2:c.b2], c.params[c.b2:c.wf], c.cfg.Conv2)
-	features := linalg.NewMatrix(n, c.fcIn)
-	arg2 := make([]int, c.fcIn)
-	for i := range conv2 {
-		poolForward(conv2[i], c.cfg.Conv2, c.size1, features.Row(i), arg2)
-	}
-
-	// FC head: one affine kernel plus row softmax for the whole chunk.
-	wf := &linalg.Matrix{Rows: c.cfg.Classes, Cols: c.fcIn, Data: c.params[c.wf:c.bf]}
-	logits := linalg.AffineT(features, wf, c.params[c.bf:])
-	linalg.SoftmaxRows(logits)
-	for i := 0; i < n; i++ {
-		copy(probs.Row(rowBase+i), logits.Row(i))
-	}
-}
-
-// convBatch applies one 5×5 stride-1 pad-2 convolution (+ReLU) to every
-// plane set via im2col: patches (with a leading 1 for the bias) form one
-// matrix, kernels (with a leading bias entry) another, and their product
-// yields every output pixel of every image and channel at once.
-func (c *CNN) convBatch(inputs [][]float64, inCh, size int, w, b []float64, outCh int) [][]float64 {
-	n := len(inputs)
-	k2 := kernel * kernel
-	cols := 1 + inCh*k2
-	pixels := size * size
-
-	// Kernel bank: row oc = [bias_oc | w_oc], matching the patch layout.
-	bank := linalg.NewMatrix(outCh, cols)
-	for oc := 0; oc < outCh; oc++ {
-		row := bank.Row(oc)
-		row[0] = b[oc]
-		copy(row[1:], w[oc*inCh*k2:(oc+1)*inCh*k2])
-	}
-
-	patches := linalg.NewMatrix(n*pixels, cols)
-	for img, plane := range inputs {
-		base := img * pixels
-		for y := 0; y < size; y++ {
-			for x := 0; x < size; x++ {
-				row := patches.Row(base + y*size + x)
-				row[0] = 1
-				p := 1
-				for ic := 0; ic < inCh; ic++ {
-					icBase := ic * pixels
-					for ky := 0; ky < kernel; ky++ {
-						iy := y + ky - pad
-						if iy < 0 || iy >= size {
-							p += kernel // out-of-bounds row: leave zeros
-							continue
-						}
-						rowBase := icBase + iy*size
-						for kx := 0; kx < kernel; kx++ {
-							ix := x + kx - pad
-							if ix >= 0 && ix < size {
-								row[p] = plane[rowBase+ix]
-							}
-							p++
-						}
-					}
-				}
-			}
-		}
-	}
-
-	// (n·pixels × cols) · (outCh × cols)ᵀ — the whole chunk's convolution.
-	prod := linalg.MatMulT(patches, bank)
-
-	// Scatter back to CHW planes with the ReLU fused in.
-	out := make([][]float64, n)
-	for img := 0; img < n; img++ {
-		plane := make([]float64, outCh*pixels)
-		base := img * pixels
-		for pix := 0; pix < pixels; pix++ {
-			row := prod.Row(base + pix)
-			for oc := 0; oc < outCh; oc++ {
-				v := row[oc]
-				if v < 0 {
-					v = 0
-				}
-				plane[oc*pixels+pix] = v
-			}
-		}
-		out[img] = plane
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package cnn
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -45,13 +46,15 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
-// TestPredictBatchSpansChunks forces more images than one batchChunk so
-// the chunk boundary path is exercised.
+// TestPredictBatchSpansChunks scores a batch several times larger than
+// the goroutine count at GOMAXPROCS 1 through 4, so every worker serves
+// many images from one pooled workspace.
 func TestPredictBatchSpansChunks(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders >batchChunk images")
+		t.Skip("renders 38 images")
 	}
-	images, labels := syntheticImages(2, batchChunk/2+3, 8) // 2*(chunk/2+3) > chunk
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	images, labels := syntheticImages(2, 19, 8)
 	c, err := New(DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
@@ -59,20 +62,23 @@ func TestPredictBatchSpansChunks(t *testing.T) {
 	if err := c.TrainEpochs(images, labels, 1); err != nil {
 		t.Fatal(err)
 	}
-	batch, err := c.PredictBatch(images)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(images) {
-		t.Fatalf("batch returned %d predictions for %d images", len(batch), len(images))
-	}
-	for i, im := range images {
-		want, err := c.Predict(im)
+	for procs := 1; procs <= 4; procs++ {
+		runtime.GOMAXPROCS(procs)
+		batch, err := c.PredictBatch(images)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if batch[i] != want {
-			t.Errorf("image %d across chunk boundary: batch %d, serial %d", i, batch[i], want)
+		if len(batch) != len(images) {
+			t.Fatalf("batch returned %d predictions for %d images", len(batch), len(images))
+		}
+		for i, im := range images {
+			want, err := c.Predict(im)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batch[i] != want {
+				t.Errorf("GOMAXPROCS=%d image %d: batch %d, serial %d", procs, i, batch[i], want)
+			}
 		}
 	}
 }

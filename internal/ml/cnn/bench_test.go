@@ -4,22 +4,25 @@ import (
 	"testing"
 )
 
-func BenchmarkForward(b *testing.B) {
+// BenchmarkPredict is single-image inference through the public API:
+// one pooled-workspace forward per call.
+func BenchmarkPredict(b *testing.B) {
 	images, _ := syntheticImages(2, 1, 1)
 	c, err := New(DefaultConfig(2))
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := c.newScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.forward(images[0], s)
+		if _, err := c.Predict(images[0]); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkPredictLoop vs BenchmarkPredictBatch compare per-image serial
-// inference with the im2col batch forward over the same image set.
+// inference with the parallel batch forward over the same image set.
 func BenchmarkPredictLoop(b *testing.B) {
 	images, _ := syntheticImages(4, 4, 1)
 	c, err := New(DefaultConfig(4))

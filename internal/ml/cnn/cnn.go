@@ -14,7 +14,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -70,7 +69,8 @@ const (
 )
 
 // CNN is the network. All parameters live in one flat vector driven by a
-// single Adam instance.
+// single Adam instance. A CNN is safe for concurrent inference (Predict,
+// Probabilities, PredictBatch, Scores); training must not overlap it.
 type CNN struct {
 	cfg Config
 
@@ -82,8 +82,12 @@ type CNN struct {
 	params []float64
 	adam   *linalg.Adam
 
-	// Parameter offsets.
-	w1, b1, w2, b2, wf, bf int
+	// The two convolutions, and the FC weight and bias offsets.
+	l1, l2 convLayer
+	wf, bf int
+
+	// pool recycles inference workspaces across calls and goroutines.
+	pool sync.Pool
 }
 
 // New validates the config and allocates an initialized network.
@@ -121,11 +125,10 @@ func New(cfg Config) (*CNN, error) {
 	n2 := cfg.Conv2 * cfg.Conv1 * k2
 	nf := cfg.Classes * c.fcIn
 
-	c.w1 = 0
-	c.b1 = n1
-	c.w2 = c.b1 + cfg.Conv1
-	c.b2 = c.w2 + n2
-	c.wf = c.b2 + cfg.Conv2
+	c.l1 = convLayer{inCh: cfg.InChannels, outCh: cfg.Conv1, size: cfg.InSize, w: 0, b: n1}
+	c.l2 = convLayer{inCh: cfg.Conv1, outCh: cfg.Conv2, size: c.size1, w: c.l1.b + cfg.Conv1}
+	c.l2.b = c.l2.w + n2
+	c.wf = c.l2.b + cfg.Conv2
 	c.bf = c.wf + nf
 	c.params = make([]float64, c.bf+cfg.Classes)
 
@@ -150,8 +153,8 @@ func (c *CNN) initParams() {
 	nf := c.cfg.Classes * c.fcIn
 
 	rng := rand.New(rand.NewSource(c.cfg.Seed))
-	heInit(c.params[c.w1:c.w1+n1], c.cfg.InChannels*k2, rng)
-	heInit(c.params[c.w2:c.w2+n2], c.cfg.Conv1*k2, rng)
+	heInit(c.params[c.l1.w:c.l1.w+n1], c.cfg.InChannels*k2, rng)
+	heInit(c.params[c.l2.w:c.l2.w+n2], c.cfg.Conv1*k2, rng)
 	heInit(c.params[c.wf:c.wf+nf], c.fcIn, rng)
 	c.adam.Reset()
 }
@@ -194,16 +197,24 @@ func (c *CNN) validateImages(images []*imagerep.Image, labels []int) error {
 		return fmt.Errorf("cnn: %d images but %d labels", len(images), len(labels))
 	}
 	for i, im := range images {
-		if im == nil {
-			return fmt.Errorf("cnn: image %d is nil", i)
-		}
-		if im.Channels != c.cfg.InChannels || im.Height != c.cfg.InSize || im.Width != c.cfg.InSize {
-			return fmt.Errorf("cnn: image %d has shape %dx%dx%d, model expects %dx%dx%d",
-				i, im.Channels, im.Height, im.Width, c.cfg.InChannels, c.cfg.InSize, c.cfg.InSize)
+		if err := c.validateImage(i, im); err != nil {
+			return err
 		}
 		if labels[i] < 0 || labels[i] >= c.cfg.Classes {
 			return fmt.Errorf("cnn: label %d of image %d outside [0,%d)", labels[i], i, c.cfg.Classes)
 		}
+	}
+	return nil
+}
+
+// validateImage checks image i's shape against the model's input.
+func (c *CNN) validateImage(i int, im *imagerep.Image) error {
+	if im == nil {
+		return fmt.Errorf("cnn: image %d is nil", i)
+	}
+	if im.Channels != c.cfg.InChannels || im.Height != c.cfg.InSize || im.Width != c.cfg.InSize {
+		return fmt.Errorf("cnn: image %d has shape %dx%dx%d, model expects %dx%dx%d",
+			i, im.Channels, im.Height, im.Width, c.cfg.InChannels, c.cfg.InSize, c.cfg.InSize)
 	}
 	return nil
 }
@@ -219,8 +230,9 @@ func (c *CNN) Fit(images []*imagerep.Image, labels []int) error {
 
 // TrainEpochs runs the given number of passes, warm-starting from the
 // current parameters — the primitive the fine-tuning rounds build on.
-// Minibatch gradients are computed concurrently across samples; the
-// reduction order is fixed, so training is deterministic.
+// Each minibatch's gradient is computed in parallel, first across samples
+// and then across gradient rows, with every sum in a fixed order: the
+// trained parameters are bit-identical at every GOMAXPROCS.
 func (c *CNN) TrainEpochs(images []*imagerep.Image, labels []int, epochs int) error {
 	if err := c.validateImages(images, labels); err != nil {
 		return err
@@ -235,69 +247,21 @@ func (c *CNN) TrainEpochs(images []*imagerep.Image, labels []int, epochs int) er
 	for i := range order {
 		order[i] = i
 	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > c.cfg.BatchSize {
-		workers = c.cfg.BatchSize
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	workerGrads := make([][]float64, workers)
-	workerScratch := make([]*scratch, workers)
-	for w := 0; w < workers; w++ {
-		workerGrads[w] = make([]float64, len(c.params))
-		workerScratch[w] = c.newScratch()
-	}
-	weightTotals := make([]float64, workers)
+	t := c.newTrainer()
+	parts := [][]float64{t.grads}
 
 	for epoch := 0; epoch < epochs; epoch++ {
 		epochStart := time.Now()
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < n; start += c.cfg.BatchSize {
-			end := start + c.cfg.BatchSize
-			if end > n {
-				end = n
-			}
-			batch := order[start:end]
-
-			// Fan the batch out in fixed contiguous chunks per worker.
-			var wg sync.WaitGroup
-			linalg.Zero(weightTotals)
-			chunk := (len(batch) + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				if lo >= len(batch) {
-					break
-				}
-				hi := lo + chunk
-				if hi > len(batch) {
-					hi = len(batch)
-				}
-				wg.Add(1)
-				go func(w, lo, hi int) {
-					defer wg.Done()
-					linalg.Zero(workerGrads[w])
-					for _, i := range batch[lo:hi] {
-						weightTotals[w] += c.backward(images[i], labels[i], workerGrads[w], workerScratch[w])
-					}
-				}(w, lo, hi)
-			}
-			wg.Wait()
-
-			// Deterministic fused reduce in worker order: one batched
-			// Adam step over the per-worker gradient shards.
-			used := (len(batch) + chunk - 1) / chunk
-			var weightTotal float64
-			for w := 0; w < used; w++ {
-				weightTotal += weightTotals[w]
-			}
+			end := min(start+c.cfg.BatchSize, n)
+			weightTotal := t.gradient(images, labels, order[start:end])
 			scale := 1.0
 			if weightTotal > 0 {
 				scale = 1 / weightTotal
 			}
 			stepStart := time.Now()
-			c.adam.StepSum(c.params, workerGrads[:used], scale)
+			c.adam.StepSum(c.params, parts, scale)
 			adamStepSeconds.ObserveSince(stepStart)
 		}
 		epochSeconds.ObserveSince(epochStart)
@@ -306,8 +270,8 @@ func (c *CNN) TrainEpochs(images []*imagerep.Image, labels []int, epochs int) er
 }
 
 // Training telemetry: per-epoch wall time and the Adam update's share of it
-// (the fused reduce is the serial section between the concurrent backward
-// workers, so its histogram shows when it becomes the bottleneck).
+// (the update is the serial section between the parallel gradient phases,
+// so its histogram shows when it becomes the bottleneck).
 var (
 	epochSeconds    = obs.GetHistogram(`elevpriv_ml_epoch_seconds{model="cnn"}`, nil)
 	adamStepSeconds = obs.GetHistogram(`elevpriv_ml_adam_step_seconds{model="cnn"}`, nil)
@@ -315,22 +279,25 @@ var (
 
 // Predict returns the most probable class for one image.
 func (c *CNN) Predict(im *imagerep.Image) (int, error) {
-	probs, err := c.Probabilities(im)
-	if err != nil {
+	if err := c.validateImage(0, im); err != nil {
 		return 0, err
 	}
-	return linalg.ArgMax(probs), nil
+	st := c.getInference()
+	c.forward(&st.ws, &st.a, im)
+	best := linalg.ArgMax(st.a.probs)
+	c.pool.Put(st)
+	return best, nil
 }
 
 // Probabilities returns the softmax distribution for one image.
 func (c *CNN) Probabilities(im *imagerep.Image) ([]float64, error) {
-	if err := c.validateImages([]*imagerep.Image{im}, []int{0}); err != nil {
+	if err := c.validateImage(0, im); err != nil {
 		return nil, err
 	}
-	s := c.newScratch()
-	c.forward(im, s)
-	out := make([]float64, c.cfg.Classes)
-	copy(out, s.probs)
+	st := c.getInference()
+	c.forward(&st.ws, &st.a, im)
+	out := append([]float64(nil), st.a.probs...)
+	c.pool.Put(st)
 	return out, nil
 }
 

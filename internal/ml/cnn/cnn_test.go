@@ -136,28 +136,6 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 	}
 }
 
-func TestDeterministicTrainingAcrossParallelism(t *testing.T) {
-	images, labels := syntheticImages(2, 8, 4)
-	run := func() []float64 {
-		c, err := New(fastConfig(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.TrainEpochs(images, labels, 3); err != nil {
-			t.Fatal(err)
-		}
-		probs, _ := c.Probabilities(images[0])
-		return probs
-	}
-	a := run()
-	b := run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same-seed CNN training diverges: %v vs %v", a, b)
-		}
-	}
-}
-
 func TestWeightedLossShiftsMinorityRecall(t *testing.T) {
 	// Unbalanced: class 0 has 24 samples, class 1 only 4. Weighted loss
 	// should lift minority-class predictions relative to unweighted.
@@ -344,8 +322,9 @@ func TestPoolForwardSelectsMax(t *testing.T) {
 	in[0], in[1], in[4], in[5] = 1, 9, 3, 2
 	in[2], in[3], in[6], in[7] = 0, 0, 0, 7
 	out := make([]float64, 4)
-	arg := make([]int, 4)
-	poolForward(in, 1, 4, out, arg)
+	arg := make([]int32, 4)
+	l := convLayer{inCh: 1, outCh: 1, size: 4}
+	l.pool(in, 16, 0, 4, out, grid{side: 2}, arg)
 	if out[0] != 9 || arg[0] != 1 {
 		t.Errorf("pool cell 0 = %f (arg %d)", out[0], arg[0])
 	}
@@ -355,8 +334,9 @@ func TestPoolForwardSelectsMax(t *testing.T) {
 }
 
 func TestConvGradientCheck(t *testing.T) {
-	// Numerical gradient check on a tiny network: perturb one conv1 weight
-	// and compare loss delta against the analytic gradient.
+	// Numerical gradient check on a tiny network: perturb one parameter at
+	// a time and compare the loss delta against the analytic gradient of a
+	// one-sample training step.
 	cfg := Config{
 		Classes: 2, InChannels: 1, InSize: 8,
 		Conv1: 2, Conv2: 2,
@@ -375,17 +355,27 @@ func TestConvGradientCheck(t *testing.T) {
 	label := 1
 
 	loss := func() float64 {
-		s := c.newScratch()
-		c.forward(im, s)
-		return -math.Log(s.probs[label] + 1e-12)
+		probs, err := c.Probabilities(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return -math.Log(probs[label] + 1e-12)
 	}
 
-	grads := make([]float64, len(c.params))
-	s := c.newScratch()
-	c.backward(im, label, grads, s)
+	tr := c.newTrainer()
+	tr.gradient([]*imagerep.Image{im}, []int{label}, []int{0})
+	grads := tr.grads
 
+	// Conv weights and both conv bias vectors (the bias is the weight of
+	// the patch's implicit leading 1), plus conv2 corner taps (ky, kx) =
+	// (0, 0) and (4, 4), whose receptive fields reach into the pad-2 border.
+	corner := func(oc, ic, ky, kx int) int {
+		return c.l2.w + (oc*cfg.Conv1+ic)*kernel*kernel + ky*kernel + kx
+	}
+	params := []int{0, 3, c.l1.b, c.l1.b + 1, c.l2.w + 1, c.l2.b, c.l2.b + 1,
+		corner(1, 1, 0, 0), corner(0, 1, 4, 4), c.wf + 2, c.bf}
 	const eps = 1e-5
-	for _, pi := range []int{0, 3, c.w2 + 1, c.wf + 2, c.bf} {
+	for _, pi := range params {
 		orig := c.params[pi]
 		c.params[pi] = orig + eps
 		up := loss()
