@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-short perfbench-test check bench bench-train bench-full experiments experiments-quick smoke-resume obs-smoke orch-smoke shard-smoke ingest-smoke fleet-smoke clean
+.PHONY: all build vet staticcheck test test-short perfbench-test check bench bench-full experiments experiments-quick smoke-resume obs-smoke orch-smoke shard-smoke ingest-smoke fleet-smoke clean
 
 all: build vet test
 
@@ -102,23 +102,10 @@ fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
 ## bench runs every experiment benchmark at smoke scale plus the substrate
-## micro-benchmarks, then the text-pipeline, training, serving-tier, and
-## ingestion comparison harnesses, which measure the legacy paths against
-## the current ones and write BENCH_textpipeline.json / BENCH_train.json /
-## BENCH_serving.json / BENCH_ingest.json.
+## micro-benchmarks. The end-to-end and per-layer benchmark of the attack
+## and its live paths is perfbench: bash perfbench/run.sh.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/textbench -out BENCH_textpipeline.json
-	$(GO) run ./cmd/trainbench -out BENCH_train.json
-	$(GO) run ./cmd/servebench -out BENCH_serving.json
-	$(GO) run ./cmd/ingestbench -out BENCH_ingest.json
-
-## bench-train runs only the training-path harness: the frozen per-sample
-## MLP trainer against the batched float64/float32/sparse paths and the
-## SVM dense path against its sparse one, with built-in bit-exactness
-## checks, writing BENCH_train.json.
-bench-train:
-	$(GO) run ./cmd/trainbench -out BENCH_train.json
 
 ## bench-full runs the experiment benchmarks at the laptop scale that
 ## EXPERIMENTS.md records (tens of minutes).

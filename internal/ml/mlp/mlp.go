@@ -337,12 +337,31 @@ func Load(r io.Reader) (*MLP, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Check the header's shape against the block actually read before
+	// init allocates it, so a crafted dim cannot force a huge allocation.
+	n, ok := paramCount(sc.Dim, sc.Config.Hidden, sc.Config.Classes)
+	if !ok {
+		return nil, fmt.Errorf("mlp: implausible shape: dim %d, hidden %d, classes %d",
+			sc.Dim, sc.Config.Hidden, sc.Config.Classes)
+	}
+	if len(blocks) != 1 || len(blocks[0]) != n {
+		return nil, fmt.Errorf("mlp: parameter block mismatch (%d blocks, want 1 of %d values)", len(blocks), n)
+	}
 	if err := m.init(sc.Dim, rand.New(rand.NewSource(sc.Config.Seed))); err != nil {
 		return nil, err
 	}
-	if len(blocks) != 1 || len(blocks[0]) != len(m.params) {
-		return nil, fmt.Errorf("mlp: parameter block mismatch (%d blocks)", len(blocks))
-	}
 	copy(m.params, blocks[0])
 	return m, nil
+}
+
+// paramCount returns the length of the flat parameter vector for input
+// dimension d, hidden width h and k classes — h·d + h + k·h + k — and
+// false if any size is below one or the count overflows an int.
+func paramCount(d, h, k int) (int, bool) {
+	if d < 1 || h < 1 || k < 1 || d >= math.MaxInt/h || h >= math.MaxInt/k {
+		return 0, false
+	}
+	// Each product is at most MaxInt; a sum that wraps turns negative.
+	n := h*(d+1) + k*(h+1)
+	return n, n > 0
 }

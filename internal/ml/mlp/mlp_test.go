@@ -2,10 +2,13 @@ package mlp
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"elevprivacy/internal/ml"
 )
 
 func blobs(centers [][]float64, perClass int, spread float64, seed int64) (x [][]float64, y []int) {
@@ -308,5 +311,34 @@ func TestSaveUnfittedRejected(t *testing.T) {
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err == nil {
 		t.Error("unfitted model saved")
+	}
+}
+
+// TestLoadRejectsCraftedShape feeds Load model files whose header claims a
+// shape the parameter block does not hold. Each must fail with an error,
+// and the large-dim file must fail before allocating the network it
+// describes (4·2^18 weights plus Adam moments, ~24 MB).
+func TestLoadRejectsCraftedShape(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.Hidden = 4
+	for _, dim := range []int{1 << 18, 0, -1, math.MaxInt/4 + 1} {
+		hdr, err := json.Marshal(savedConfig{Config: cfg, Dim: dim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := ml.WriteModel(&buf, ml.Header{Kind: "mlp", Config: hdr}, []float64{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Load(&buf)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("dim %d: crafted model loaded", dim)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("dim %d: Load allocated %d bytes before rejecting", dim, grew)
+		}
 	}
 }

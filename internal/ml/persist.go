@@ -75,16 +75,23 @@ func RowBlocks(m *linalg.Matrix) [][]float64 {
 }
 
 // MatrixFromBlocks reassembles row blocks read by ReadModel into a matrix,
-// validating that every block has the expected width.
+// validating that every block has the expected width. The widths are
+// checked before the matrix is allocated, so its size is bounded by the
+// blocks actually read rather than by a header's claimed width.
 func MatrixFromBlocks(blocks [][]float64, cols int) (*linalg.Matrix, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("ml: no blocks")
 	}
-	m := linalg.NewMatrix(len(blocks), cols)
+	if cols < 1 {
+		return nil, fmt.Errorf("ml: block width %d", cols)
+	}
 	for i, b := range blocks {
 		if len(b) != cols {
 			return nil, fmt.Errorf("ml: block %d has %d values, want %d", i, len(b), cols)
 		}
+	}
+	m := linalg.NewMatrix(len(blocks), cols)
+	for i, b := range blocks {
 		copy(m.Row(i), b)
 	}
 	return m, nil

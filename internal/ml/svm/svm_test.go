@@ -2,8 +2,12 @@ package svm
 
 import (
 	"bytes"
+	"encoding/json"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"elevprivacy/internal/ml"
 )
 
 // gaussianBlobs generates `perClass` points around each of the given
@@ -227,5 +231,34 @@ func TestSaveUnfittedRejected(t *testing.T) {
 	var buf bytes.Buffer
 	if err := clf.Save(&buf); err == nil {
 		t.Error("unfitted model saved")
+	}
+}
+
+// TestLoadRejectsCraftedShape feeds Load model files whose header claims a
+// width the weight blocks do not hold. Each must fail with an error, and
+// the large-dim file must fail before allocating the 2×2^20 weight matrix
+// it describes (16 MB).
+func TestLoadRejectsCraftedShape(t *testing.T) {
+	cfg := DefaultConfig(2)
+	for _, dim := range []int{1 << 20, 0, -1} {
+		hdr, err := json.Marshal(savedConfig{Config: cfg, Dim: dim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		err = ml.WriteModel(&buf, ml.Header{Kind: "svm", Config: hdr}, []float64{1}, []float64{2}, []float64{0, 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Load(&buf)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("dim %d: crafted model loaded", dim)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("dim %d: Load allocated %d bytes before rejecting", dim, grew)
+		}
 	}
 }

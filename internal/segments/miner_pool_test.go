@@ -14,6 +14,7 @@ import (
 
 	"elevprivacy/internal/elevsvc"
 	"elevprivacy/internal/httpx"
+	"elevprivacy/internal/obs"
 	"elevprivacy/internal/terrain"
 )
 
@@ -116,7 +117,8 @@ func mustHost(tb testing.TB, rawURL string) string {
 // TestMinePooledMatchesSingleEndpoint: with four healthy replicas behind
 // consistent-hash pools, a sweep's output is byte-identical to the
 // single-endpoint serial baseline, and the per-endpoint request counts are
-// balanced within the ISSUE's 2x bound.
+// balanced within a 2x bound. A second sweep over the same pool, served
+// from the replicas' warm profile caches, must reproduce the baseline too.
 func TestMinePooledMatchesSingleEndpoint(t *testing.T) {
 	store := populatedStore(t, 11, 60)
 
@@ -160,6 +162,19 @@ func TestMinePooledMatchesSingleEndpoint(t *testing.T) {
 		if hi > 2*lo {
 			t.Errorf("per-endpoint balance worse than 2x: min %d, max %d (%+v)", lo, hi, stats)
 		}
+	}
+
+	hits := obs.GetCounter(`elevpriv_serving_cache_hits_total{cache="elev_profiles"}`)
+	hits0 := hits.Value()
+	warm, err := pooled.miner.MineBoundary(context.Background(), "WDC", cityBounds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits.Value() == hits0 {
+		t.Error("warm sweep hit no cached elevation profile")
+	}
+	if !reflect.DeepEqual(want, warm) {
+		t.Fatal("warm pooled sweep differs from single-endpoint serial baseline")
 	}
 }
 

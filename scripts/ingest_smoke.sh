@@ -29,10 +29,10 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "==> building elevattack, elevingest, ingestbench"
+echo "==> building elevattack, elevingest, firehose"
 go build -o "$workdir/elevattack" ./cmd/elevattack
 go build -o "$workdir/elevingest" ./cmd/elevingest
-go build -o "$workdir/ingestbench" ./cmd/ingestbench
+go build -o "$workdir/firehose" ./cmd/firehose
 
 addr="127.0.0.1:19521"
 base="http://$addr"
@@ -75,7 +75,7 @@ wait_healthy "$workdir/server1.log"
 # through the kill window (replayable bodies, generous backoff) and only
 # exits 0 once the server's results ledger holds all 400.
 echo "==> firehose client streaming 400 activities"
-"$workdir/ingestbench" -target "$base" -n 400 -seed 11 -rate 120 -chunk 10 \
+"$workdir/firehose" -target "$base" -n 400 -seed 11 -rate 120 -chunk 10 \
     -ndjson-out "$workdir/all.ndjson" -wait 180s \
     >"$workdir/client.log" 2>&1 &
 client=$!
